@@ -135,6 +135,9 @@ class JobQueue:
     ) -> bool:
         """Reject new work, cancel the backlog, wait for quiescence.
 
+        The backlog is every job the worker has not yet dequeued, even
+        one submitted before the current running job finished.
+
         ``cancel_running=True`` (the SIGTERM path) additionally flips
         the in-flight job's cancel event so a long replay exits at its
         next tick boundary instead of running to completion. Returns

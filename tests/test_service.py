@@ -119,6 +119,9 @@ class TestJobQueue:
         gate = threading.Event()
         running = queue.submit("slow", {}, lambda job: gate.wait(5.0))
         backlog = queue.submit("later", {}, lambda job: 1)
+        # Until the worker dequeues ``slow`` it is backlog too, and a
+        # drain would rightly cancel it; wait so it is the in-flight job.
+        assert wait_until(lambda: queue.running is running)
         drained = []
         t = threading.Thread(
             target=lambda: drained.append(
@@ -131,6 +134,9 @@ class TestJobQueue:
         assert backlog.state == JobState.CANCELLED
         with pytest.raises(QueueClosedError):
             queue.submit("nope", {}, lambda job: 2)
+        # A graceful drain leaves the running job alone.
+        assert running.state == JobState.RUNNING
+        assert queue.backlog == 0
         gate.set()
         t.join(10.0)
         assert drained == [True]
